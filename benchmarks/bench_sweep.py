@@ -31,25 +31,12 @@ executor must recover and produce output byte-identical to the
 fault-free cold run.
 
 ``--ledger PATH`` appends the report to the perf-observatory run
-ledger (``repro.obs.perf``) — cold/warm wall+CPU, cache hit rate,
-per-figure wall breakdown, and the engine-compare section when present
-— so ``nachos-repro perf check`` can enforce the committed
-``perf_budgets.toml`` over the history and ``perf report`` can render
-the trend dashboard.  All wall times here and in the child CLI come
+ledger (``repro.obs.perf``) — cold/warm wall+CPU, cache hit rate and
+per-figure wall breakdown — so ``nachos-repro perf check`` can enforce
+the committed ``perf_budgets.toml`` over the history and ``perf
+report`` can render the trend dashboard.  All wall times here and in the child CLI come
 from ``time.perf_counter()`` (one monotonic clock source end to end);
 CPU times are ``os.times()`` children deltas.
-
-``--engine-compare`` adds one cold run per fast mode on a fresh cache
-(``NACHOS_ENGINE=fast`` — template replay — and ``NACHOS_ENGINE=
-fast-vector`` — batch invocation replay) and pins the main cold/warm
-runs to the reference engine.  Every mode's output must be
-byte-identical — the engines are bit-exact by contract — and the
-report gains an ``engine_compare`` section with per-mode wall and CPU
-times plus ``fast_speedup_vs_reference`` /
-``fast_vector_speedup_vs_reference``.  ``--min-vector-speedup FLOOR``
-turns the latter into a CI gate: the run fails if the fast-vector
-engine's cold-sweep speedup over the reference engine drops below the
-committed floor.
 """
 
 from __future__ import annotations
@@ -230,21 +217,6 @@ def main(argv=None) -> int:
         "fresh cache; output must match the fault-free cold run",
     )
     parser.add_argument(
-        "--engine-compare",
-        action="store_true",
-        help="also run cold under NACHOS_ENGINE=fast and fast-vector on "
-        "fresh caches; outputs must match the reference cold run "
-        "byte-for-byte",
-    )
-    parser.add_argument(
-        "--min-vector-speedup",
-        type=float,
-        default=None,
-        metavar="FLOOR",
-        help="with --engine-compare: fail if the fast-vector cold-sweep "
-        "speedup over the reference engine drops below FLOOR",
-    )
-    parser.add_argument(
         "--ledger",
         default=None,
         metavar="PATH",
@@ -265,11 +237,6 @@ def main(argv=None) -> int:
         else:
             cmd = [sys.executable, "-m", "repro.experiments.cli", "all"]
         env = _child_env(cache_dir, args.jobs)
-        if args.engine_compare:
-            # The comparison needs a known baseline: pin the main
-            # cold/warm runs to the reference engine even if the caller's
-            # environment says otherwise.
-            env["NACHOS_ENGINE"] = "reference"
 
         print(f"[cold run: jobs={args.jobs}, cache={cache_dir}]")
         cold_s, cold_cpu, cold_out = _timed_run(cmd, env)
@@ -300,33 +267,6 @@ def main(argv=None) -> int:
             finally:
                 shutil.rmtree(chaos_cache, ignore_errors=True)
 
-        engine_runs = {}
-        if args.engine_compare:
-            for mode in ("fast", "fast-vector"):
-                # Fresh cache per mode: sim keys differ by design, but a
-                # shared cache would still serve compile/placement
-                # entries, making the cold times incomparable.
-                mode_cache = Path(tempfile.mkdtemp(prefix="nachos-bench-eng-"))
-                try:
-                    mode_env = _child_env(mode_cache, args.jobs)
-                    mode_env["NACHOS_ENGINE"] = mode
-                    print(
-                        f"[engine-compare run: NACHOS_ENGINE={mode}, "
-                        f"fresh cache]"
-                    )
-                    mode_s, mode_cpu, mode_out = _timed_run(cmd, mode_env)
-                    print(
-                        f"[{mode} cold: {mode_s:.1f}s wall, "
-                        f"{mode_cpu:.1f}s cpu]"
-                    )
-                    engine_runs[mode] = (
-                        mode_s,
-                        mode_cpu,
-                        _strip_timing(mode_out) == _strip_timing(cold_out),
-                    )
-                finally:
-                    shutil.rmtree(mode_cache, ignore_errors=True)
-
         stats = _cache_stats(cache_dir)
         report = {
             "mode": "quick" if args.quick else "full",
@@ -351,20 +291,6 @@ def main(argv=None) -> int:
             report["chaos_spec"] = args.chaos
             report["chaos_seconds"] = round(chaos_s, 2)
             report["outputs_identical_chaos_vs_cold"] = chaos_identical
-        if args.engine_compare:
-            fast_s, fast_cpu, fast_ok = engine_runs["fast"]
-            vec_s, vec_cpu, vec_ok = engine_runs["fast-vector"]
-            report["engine_compare"] = {
-                "reference_cold_seconds": round(cold_s, 2),
-                "reference_cpu_seconds": round(cold_cpu, 2),
-                "fast_cold_seconds": round(fast_s, 2),
-                "fast_cpu_seconds": round(fast_cpu, 2),
-                "fast_speedup_vs_reference": round(cold_s / fast_s, 3),
-                "fast_vector_cold_seconds": round(vec_s, 2),
-                "fast_vector_cpu_seconds": round(vec_cpu, 2),
-                "fast_vector_speedup_vs_reference": round(cold_s / vec_s, 3),
-                "outputs_identical": fast_ok and vec_ok,
-            }
         Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
         print(json.dumps(report, indent=2))
         if args.ledger:
@@ -383,37 +309,6 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 1
-        for mode, (mode_s, _mode_cpu, mode_ok) in engine_runs.items():
-            if not mode_ok:
-                print(
-                    f"FAIL: {mode}-engine output differs from the "
-                    f"reference cold run — the engines are bit-exact "
-                    f"by contract",
-                    file=sys.stderr,
-                )
-                return 1
-            if mode_s >= cold_s:
-                print(
-                    f"[WARNING: {mode} engine not faster this run "
-                    f"({mode_s:.1f}s vs {cold_s:.1f}s reference)]",
-                    file=sys.stderr,
-                )
-        if args.engine_compare and args.min_vector_speedup is not None:
-            speedup = report["engine_compare"][
-                "fast_vector_speedup_vs_reference"
-            ]
-            verdict = "ok" if speedup >= args.min_vector_speedup else "FAIL"
-            print(
-                f"[vector-speedup gate: {speedup:.2f}x vs floor "
-                f"{args.min_vector_speedup:.2f}x -> {verdict}]"
-            )
-            if verdict == "FAIL":
-                print(
-                    "FAIL: fast-vector cold-sweep speedup regressed "
-                    "below the committed floor",
-                    file=sys.stderr,
-                )
-                return 1
         if not args.quick and SEED_SERIAL_SECONDS / warm_s < 3.0:
             print("FAIL: warm sweep is not >= 3x the seed baseline", file=sys.stderr)
             return 1

@@ -27,18 +27,12 @@ Usage::
     nachos-repro verify --fuzz 200 --seed 0
                                        # differential alias fuzzing over
                                        # all five backends + sanitizer
-    nachos-repro verify --fuzz 200 --engines all
-                                       # + reference/fast/fast-vector
-                                       # engine equivalence cross-check
     nachos-repro verify --fuzz 200 --oracle --coverage
                                        # + static cross-checks: stage
                                        # verdicts vs the stage-5 oracle,
                                        # MDE sync coverage per region
     nachos-repro verify --repro fuzz-repros/fuzz-0-41-nachos.json
                                        # rerun a shrunken failure
-    nachos-repro fig11 --engine fast-vector
-                                       # batch-replaying vector engine
-                                       # (bit-exact, separate cache keys)
     nachos-repro profile fig11         # per-stage/per-region wall time,
                                        # cache telemetry, worker usage
     nachos-repro all --ledger perf/history.ndjson
@@ -213,16 +207,6 @@ def main(argv=None) -> int:
         help="cache root (default ~/.cache/nachos-repro or $NACHOS_CACHE_DIR)",
     )
     parser.add_argument(
-        "--engine",
-        choices=["reference", "fast", "fast-vector"],
-        default=None,
-        help="execution engine: 'reference' (per-event heapq loop), "
-        "'fast' (invocation schedule templates), or 'fast-vector' "
-        "(templates + NumPy batch value pass + guarded invocation "
-        "replay); both fast modes are bit-exact — see "
-        "docs/simulation.md.  Default $NACHOS_ENGINE or 'reference'.",
-    )
-    parser.add_argument(
         "--metrics",
         default=None,
         metavar="PATH",
@@ -311,14 +295,6 @@ def main(argv=None) -> int:
         help="for 'verify': backends to fuzz (default: all five)",
     )
     parser.add_argument(
-        "--engines",
-        choices=["reference", "both", "all"],
-        default="reference",
-        help="for 'verify': 'both' cross-checks each clean region between "
-        "the reference and fast engines, 'all' between reference, fast "
-        "and fast-vector (pickled SimResults must be byte-identical)",
-    )
-    parser.add_argument(
         "--repro",
         default=None,
         metavar="PATH",
@@ -348,10 +324,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.engine is not None:
-        # Exported (not just resolved locally) so forked sweep workers
-        # inherit the same engine mode as the parent process.
-        os.environ["NACHOS_ENGINE"] = args.engine
     if args.jobs is not None:
         set_jobs(args.jobs)
     if args.no_cache or args.cache_dir:
@@ -539,30 +511,16 @@ def _resolve_ledger(args):
 
 
 def _append_run_ledger(path, stage_seconds, jobs=None) -> None:
-    """Append this run's profile (and fast-vector) telemetry to a ledger."""
-    from repro.obs import (
-        PerfLedger,
-        capture_context,
-        get_profile,
-        record_from_profile,
-        record_from_vector,
-    )
+    """Append this run's profile telemetry to a ledger."""
+    from repro.obs import PerfLedger, capture_context, get_profile, record_from_profile
     from repro.runtime.executor import get_jobs
 
-    profile = get_profile()
-    context = capture_context(
-        engine=os.environ.get("NACHOS_ENGINE", "reference"),
-        jobs=jobs if jobs is not None else get_jobs(),
-    )
+    context = capture_context(jobs=jobs if jobs is not None else get_jobs())
     ledger = PerfLedger(path)
     fp = ledger.append(
-        record_from_profile(profile, stage_seconds, context=context)
+        record_from_profile(get_profile(), stage_seconds, context=context)
     )
-    appended = [f"profile:{fp}"]
-    vector = record_from_vector(profile, context=context)
-    if vector is not None:
-        appended.append(f"vector:{ledger.append(vector)}")
-    print(f"[ledger {ledger.path}: appended {', '.join(appended)}]")
+    print(f"[ledger {ledger.path}: appended profile:{fp}]")
 
 
 def _perf_command(rest, args) -> int:
@@ -632,7 +590,7 @@ def _perf_command(rest, args) -> int:
             ctx = record.context
             shape = " ".join(
                 f"{k}={ctx[k]}"
-                for k in ("mode", "engine", "jobs") if k in ctx
+                for k in ("mode", "jobs") if k in ctx
             )
             print(
                 f"  [{i:>3}] {record.ts or '-':<20} {record.source:<9} "
@@ -829,16 +787,12 @@ def _verify_command(args) -> int:
         return 2
     do_coverage = bool(args.coverage)
     systems = list(args.systems) if args.systems else sorted(FUZZ_BACKENDS)
-    engines_note = {
-        "both": " [engines: reference+fast]",
-        "all": " [engines: reference+fast+fast-vector]",
-    }.get(args.engines, "")
     static_note = "".join(
         f" [{name}]"
         for name, on in (("oracle", args.oracle), ("coverage", do_coverage))
         if on
     )
-    print(f"fuzzing systems: {', '.join(systems)}" + engines_note + static_note)
+    print(f"fuzzing systems: {', '.join(systems)}" + static_note)
     start = time.perf_counter()
     done = {"n": 0}
 
@@ -849,7 +803,7 @@ def _verify_command(args) -> int:
 
     result = fuzz(
         args.fuzz, seed=args.seed, systems=systems, progress=progress,
-        engines=args.engines, oracle=args.oracle, coverage=do_coverage,
+        oracle=args.oracle, coverage=do_coverage,
         fault_seed=args.inject_stage_fault,
     )
     elapsed = time.perf_counter() - start
@@ -872,7 +826,7 @@ def _verify_command(args) -> int:
                 result.regions, result.runs, len(result.failures), elapsed,
                 seed=args.seed,
                 context=capture_context(
-                    seed=args.seed, engines=args.engines,
+                    seed=args.seed,
                     systems=",".join(systems),
                     oracle=args.oracle or None,
                     coverage=do_coverage or None,
@@ -963,23 +917,6 @@ def _profile_command(rest, args) -> int:
         for i, (pid, busy) in enumerate(sorted(workers.items())):
             print(f"  worker {i:<3} {busy:8.2f}s")
         print(f"  utilization: {100.0 * profile.utilization():.0f}%")
-
-    vectors = profile.vector_rollup()
-    if vectors:
-        print("\nfast-vector engine (per region, batch replay vs "
-              "per-event fallback):")
-        print(f"  {'region':<14} {'invocs':>7} {'replayed':>9} "
-              f"{'ops vec':>9} {'ops dyn':>9}  fallbacks")
-        for region in sorted(vectors):
-            v = vectors[region]
-            reasons = ", ".join(
-                f"{reason}={n}"
-                for reason, n in sorted(v["fallback_reasons"].items())
-            ) or "-"
-            print(
-                f"  {region:<14} {v['invocations']:>7} {v['replayed']:>9} "
-                f"{v['ops_vectorized']:>9} {v['ops_dynamic']:>9}  {reasons}"
-            )
 
     total = cache.hits + cache.misses
     if total:

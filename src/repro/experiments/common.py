@@ -54,7 +54,7 @@ from repro.sim.backends.nachos_sw import NachosSWBackend
 from repro.sim.backends.serial import SerialMemBackend
 from repro.sim.backends.spec_lsq import SpecLSQBackend
 from repro.sim.config import EngineConfig
-from repro.sim.factory import make_engine, resolve_engine_mode
+from repro.sim.factory import make_engine
 from repro.sim.oracle import golden_execute
 from repro.sim.result import SimResult
 from repro.workloads.generator import Workload
@@ -299,11 +299,6 @@ def run_system(
     if cfg is not None:
         pipeline_result = compile_workload(workload, cfg, cache)
 
-    # The *resolved* mode (config > $NACHOS_ENGINE > default) is part of
-    # the cache key: both modes are proven bit-exact, but a cross-mode
-    # cache hit would silently turn the differential equivalence suite
-    # into a self-comparison.
-    engine_mode = resolve_engine_mode(engine_config)
     sim_key = combine(
         "sim",
         wfp,
@@ -316,7 +311,6 @@ def run_system(
         config_fingerprint(cgra_config),
         config_fingerprint(lsq_config),
         config_fingerprint(engine_config),
-        f"engine={engine_mode}",
     )
     record = _sim_memo.get(sim_key)
     if record is None:
@@ -333,7 +327,6 @@ def run_system(
                 cgra_config,
                 lsq_config,
                 engine_config,
-                engine_mode,
                 warm,
                 cache,
             )
@@ -363,7 +356,6 @@ def _simulate(
     cgra_config: Optional[CGRAConfig],
     lsq_config: Optional[LSQConfig],
     engine_config: Optional[EngineConfig],
-    engine_mode: str,
     warm: bool,
     cache: ResultCache,
 ) -> Tuple[SimResult, bool, int]:
@@ -379,10 +371,7 @@ def _simulate(
     placement = _placement(wfp, graph, cgra_config)
     hierarchy = MemoryHierarchy(hierarchy_config)
     backend = _backend_for(system, lsq_config)
-    engine = make_engine(
-        graph, placement, hierarchy, backend, config=engine_config,
-        mode=engine_mode,
-    )
+    engine = make_engine(graph, placement, hierarchy, backend, config=engine_config)
 
     # Evaluate every memory op's address once per invocation *per
     # graph*: the warm loop and the engine consume the same stream, and

@@ -70,29 +70,6 @@ class FailureRecord:
 
 
 @dataclass
-class VectorRecord:
-    """One fast-vector engine run's batch-vs-fallback telemetry.
-
-    Reported by :class:`repro.sim.vector.VectorEngine` at the end of
-    each ``run()`` while profiling is enabled: how many invocations
-    replayed from a capture versus fell back to the per-event path, how
-    many op executions were served by the vectorized template, and why
-    each fallback happened (see the fallback table in
-    :mod:`repro.sim.vector`).
-    """
-
-    region: str
-    system: str
-    invocations: int
-    captured: int
-    replayed: int
-    divergences: int
-    ops_vectorized: int
-    ops_dynamic: int
-    fallback_reasons: Dict[str, int]
-
-
-@dataclass
 class SweepProfile:
     """Accumulates task/sweep records while enabled."""
 
@@ -101,7 +78,6 @@ class SweepProfile:
     sweeps: List[SweepRecord] = field(default_factory=list)
     faults: List[FaultRecord] = field(default_factory=list)
     failures: List[FailureRecord] = field(default_factory=list)
-    vectors: List[VectorRecord] = field(default_factory=list)
     checkpoint_hits: int = 0
 
     # -- recording (called by the executor) -----------------------------
@@ -130,21 +106,6 @@ class SweepProfile:
 
     def record_checkpoint_hits(self, n: int = 1) -> None:
         self.checkpoint_hits += n
-
-    def record_vector(self, region: str, system: str, stats: Dict) -> None:
-        self.vectors.append(
-            VectorRecord(
-                region=region,
-                system=system,
-                invocations=stats["invocations"],
-                captured=stats["captured"],
-                replayed=stats["replayed"],
-                divergences=stats["divergences"],
-                ops_vectorized=stats["ops_vectorized"],
-                ops_dynamic=stats["ops_dynamic"],
-                fallback_reasons=dict(stats["fallback_reasons"]),
-            )
-        )
 
     # -- rollups ---------------------------------------------------------
     @property
@@ -191,43 +152,11 @@ class SweepProfile:
         """Failed attempts that were retried (terminal ones excluded)."""
         return len(self.faults) - len(self.failures)
 
-    def vector_rollup(self) -> Dict[str, Dict[str, object]]:
-        """region -> aggregated batch/fallback counters, heaviest first."""
-        acc: Dict[str, Dict[str, object]] = {}
-        for v in self.vectors:
-            entry = acc.setdefault(
-                v.region,
-                {
-                    "invocations": 0,
-                    "captured": 0,
-                    "replayed": 0,
-                    "divergences": 0,
-                    "ops_vectorized": 0,
-                    "ops_dynamic": 0,
-                    "fallback_reasons": {},
-                },
-            )
-            entry["invocations"] += v.invocations
-            entry["captured"] += v.captured
-            entry["replayed"] += v.replayed
-            entry["divergences"] += v.divergences
-            entry["ops_vectorized"] += v.ops_vectorized
-            entry["ops_dynamic"] += v.ops_dynamic
-            reasons = entry["fallback_reasons"]
-            for reason, n in v.fallback_reasons.items():
-                reasons[reason] = reasons.get(reason, 0) + n
-        # Name-tiebreak: ``vectors`` arrives in worker completion order,
-        # so without it equal-invocation regions would shuffle run to run.
-        return dict(
-            sorted(acc.items(), key=lambda kv: (-kv[1]["invocations"], kv[0]))
-        )
-
     def reset(self) -> None:
         self.tasks.clear()
         self.sweeps.clear()
         self.faults.clear()
         self.failures.clear()
-        self.vectors.clear()
         self.checkpoint_hits = 0
 
 

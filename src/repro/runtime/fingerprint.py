@@ -25,16 +25,15 @@ from repro.ir.graph import DFGraph
 from repro.ir.serialize import graph_to_dict
 
 #: Bump when the cache payload format or simulation semantics change in
-#: a way that invalidates stored results.  Schema 3: simulation keys
-#: carry the resolved engine mode (reference vs fast), so cross-mode
-#: cache hits can never alias the differential equivalence checks.
-#: Schema 4: the ``fast-vector`` mode joined the mode set (its results
-#: must never alias either older mode's entries, and vice versa).
-#: Schema 5: the stage-5 separation-logic checker joined the pipeline
-#: (symbolic MAY pairs may now label NO/MUST, changing enforcement
-#: plans), graph payloads grew a sym-bounds table, and configs grew
-#: ``use_stage5`` — older entries must not be replayed.
-CACHE_SCHEMA = 5
+#: a way that invalidates stored results.  Schemas 3 and 4 added an
+#: engine-mode component to simulation keys.  Schema 5: the stage-5
+#: separation-logic checker joined the pipeline (symbolic MAY pairs may
+#: now label NO/MUST, changing enforcement plans), graph payloads grew
+#: a sym-bounds table, and configs grew ``use_stage5`` — older entries
+#: must not be replayed.  Schema 6: one simulation engine remains, so
+#: simulation keys and serve task fingerprints lost their engine-mode
+#: component and ``EngineConfig`` lost its ``mode`` field.
+CACHE_SCHEMA = 6
 
 
 def _canonical_json(obj: Any) -> str:

@@ -364,7 +364,6 @@ class NachosServeDaemon:
                 invocations=req.invocations,
                 check=req.check,
                 warm=req.warm,
-                kwargs=req.task_kwargs(),
             ),
         )
         payload = run_payload(run)
@@ -414,7 +413,6 @@ class NachosServeDaemon:
             "status": record.status,
             "region": req.region,
             "invocations": req.invocations,
-            "engine": req.engine,
             "results": results,
             "failed": failed,
             "elapsed_seconds": elapsed,
@@ -755,11 +753,7 @@ class NachosServeDaemon:
                 for key, value in entry.items():
                     if key != "type":
                         metrics[f"{name}.{key}"] = float(value)
-        context = capture_context(
-            engine=os.environ.get("NACHOS_ENGINE", "reference"),
-            jobs=self.jobs,
-            mode="daemon",
-        )
+        context = capture_context(jobs=self.jobs, mode="daemon")
         ledger = PerfLedger(self.ledger)
         fp = ledger.append(
             PerfRecord(source="serve-daemon", metrics=metrics, context=context)
@@ -799,11 +793,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--max-retries", type=int, default=None, metavar="N",
         help="bounded retries per task (default $NACHOS_MAX_RETRIES or 2)",
-    )
-    parser.add_argument(
-        "--engine", choices=["reference", "fast", "fast-vector"], default=None,
-        help="default engine mode (exported as $NACHOS_ENGINE so pool "
-        "workers inherit it; per-request 'engine' overrides)",
     )
     parser.add_argument(
         "--batch-window", type=float, default=0.01, metavar="SECONDS",
@@ -858,9 +847,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
-
-    if args.engine is not None:
-        os.environ["NACHOS_ENGINE"] = args.engine
 
     peer_spec = args.peers if args.peers is not None else os.environ.get(
         "NACHOS_PEERS"

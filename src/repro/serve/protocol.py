@@ -1,9 +1,9 @@
 """Wire protocol for ``nachos-serve``: requests, fingerprints, payloads.
 
 A serve request names *what* to simulate — a workload/region spec, the
-systems to run it under, the invocation count, and optionally an engine
-mode — never *how*.  Everything about the request is content-addressed
-with the same fingerprints as the result cache and the sweep checkpoint
+systems to run it under and the invocation count — never *how*.
+Everything about the request is content-addressed with the same
+fingerprints as the result cache and the sweep checkpoint
 (:mod:`repro.runtime.fingerprint` via
 :func:`repro.experiments.common.task_fingerprint`):
 
@@ -19,9 +19,10 @@ Request JSON (``POST /submit``)::
     {"region": "bzip2" | "micro.gather" | "gather",
      "systems": ["nachos", "opt-lsq"],          # default: the 3 paper systems
      "invocations": 40,                          # default DEFAULT_INVOCATIONS
-     "engine": "reference"|"fast"|"fast-vector", # default: daemon's env
      "warm": true, "check": true,
      "wait": false}                              # long-poll until done
+
+Any other field is rejected with a 400 naming it.
 
 Responses are JSON; see :mod:`repro.serve.daemon` for the endpoints.
 """
@@ -29,16 +30,16 @@ Responses are JSON; see :mod:`repro.serve.daemon` for the endpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 #: Bump when the request/response JSON layout changes incompatibly.
-SERVE_SCHEMA = 1
+#: Schema 2: the per-request ``engine`` field and the response's
+#: ``engine`` echo are gone (there is one simulation engine).
+SERVE_SCHEMA = 2
 
 #: Hard cap on invocations per request — a service knob, not a physics
 #: one: a single huge request would head-of-line-block the shared pool.
 MAX_INVOCATIONS = 2000
-
-_ENGINE_MODES = ("reference", "fast", "fast-vector")
 
 
 class ProtocolError(ValueError):
@@ -83,19 +84,10 @@ class ServeRequest:
     region: str
     systems: Tuple[str, ...]
     invocations: int
-    engine: Optional[str]          # None = daemon default ($NACHOS_ENGINE)
     warm: bool
     check: bool
     request_id: str
     task_fps: Tuple[str, ...]      # aligned with ``systems``
-
-    def task_kwargs(self) -> dict:
-        """``run_system`` kwargs shipped with each :class:`SimTask`."""
-        if self.engine is None:
-            return {}
-        from repro.sim.config import EngineConfig
-
-        return {"engine_config": EngineConfig(mode=self.engine)}
 
 
 def _require(condition: bool, message: str) -> None:
@@ -110,7 +102,7 @@ def parse_request(payload: Any) -> ServeRequest:
 
     _require(isinstance(payload, dict), "request body must be a JSON object")
     unknown = set(payload) - {
-        "region", "systems", "invocations", "engine", "warm", "check", "wait",
+        "region", "systems", "invocations", "warm", "check", "wait",
         "wait_timeout",
     }
     _require(not unknown, f"unknown request field(s): {', '.join(sorted(unknown))}")
@@ -145,42 +137,15 @@ def parse_request(payload: Any) -> ServeRequest:
         f"'invocations' must be an integer in [1, {MAX_INVOCATIONS}]",
     )
 
-    engine = payload.get("engine")
-    if engine is not None:
-        _require(
-            engine in _ENGINE_MODES,
-            f"unknown engine {engine!r}; expected one of {_ENGINE_MODES}",
-        )
-
     warm = payload.get("warm", True)
     check = payload.get("check", True)
     _require(isinstance(warm, bool), "'warm' must be a boolean")
     _require(isinstance(check, bool), "'check' must be a boolean")
 
     workload = workload_for(region)
-    request = ServeRequest(
-        region=region,
-        systems=systems,
-        invocations=invocations,
-        engine=engine,
-        warm=warm,
-        check=check,
-        request_id="",       # placeholder; frozen dataclass rebuilt below
-        task_fps=(),
-    )
-    kwargs = request.task_kwargs()
-    # The task fingerprint is the checkpoint/cache lineage key; folding
-    # in the *effective* engine mode keeps dedup honest when the daemon
-    # itself runs under $NACHOS_ENGINE.
-    from repro.sim.factory import resolve_engine_mode
-
-    effective_engine = engine or resolve_engine_mode(None)
+    # The task fingerprint is the checkpoint/cache lineage key.
     task_fps = tuple(
-        combine(
-            "serve-task",
-            task_fingerprint(workload, system, invocations, warm, kwargs),
-            f"engine={effective_engine}",
-        )
+        combine("serve-task", task_fingerprint(workload, system, invocations, warm))
         for system in systems
     )
     request_id = combine("serve-request", *sorted(task_fps))
@@ -188,7 +153,6 @@ def parse_request(payload: Any) -> ServeRequest:
         region=region,
         systems=systems,
         invocations=invocations,
-        engine=engine,
         warm=warm,
         check=check,
         request_id=request_id,

@@ -19,14 +19,7 @@ Memory operations are delegated to a pluggable disambiguation backend:
 
 from repro.sim.config import EngineConfig
 from repro.sim.engine import DataflowEngine
-from repro.sim.factory import (
-    ENGINE_MODES,
-    EngineModeFallback,
-    make_engine,
-    resolve_engine_mode,
-)
-from repro.sim.fast import FastEngine
-from repro.sim.vector import VectorEngine
+from repro.sim.factory import make_engine
 from repro.sim.result import SimResult
 from repro.sim.oracle import golden_execute, GoldenResult
 from repro.sim.backends.lsq import LSQConfig, OptLSQBackend
@@ -47,12 +40,8 @@ __all__ = [
     "TimelineRecorder",
     "render_timeline",
     "DataflowEngine",
-    "ENGINE_MODES",
     "EngineConfig",
-    "EngineModeFallback",
-    "FastEngine",
     "make_engine",
-    "resolve_engine_mode",
     "GoldenResult",
     "LSQConfig",
     "NachosBackend",
@@ -62,6 +51,5 @@ __all__ = [
     "SimResult",
     "SpecLSQBackend",
     "SpecLSQConfig",
-    "VectorEngine",
     "golden_execute",
 ]

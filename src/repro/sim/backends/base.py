@@ -36,55 +36,6 @@ def ranges_exact(a: Tuple[int, int], b: Tuple[int, int]) -> bool:
     return a == b
 
 
-def alias_code(a: Tuple[int, int], b: Tuple[int, int]) -> int:
-    """Both alias verdicts a backend can ask about a pair, as one int.
-
-    Bit 1 = the ranges overlap, bit 0 = they match exactly — the only
-    two address predicates any backend decision branches on, so a tuple
-    of these codes is a sound replay-signature component.
-    """
-    return 2 * (a[0] < b[0] + b[1] and b[0] < a[0] + a[1]) + (a == b)
-
-
-try:  # pragma: no cover - exercised by both branches across environments
-    import numpy as _np
-except Exception:  # pragma: no cover
-    _np = None
-
-
-def alias_pair_bytes(ranges: List[Tuple[int, int]]) -> bytes:
-    """All-pairs :func:`alias_code`, packed one byte per pair.
-
-    Pair order is ``(i, j)`` for ``i < j``, iterated ``j`` outer — the
-    order the scalar double loop produces — so two calls are equal iff
-    every pairwise verdict matches.  The packed form exists because the
-    fast-vector engine computes this per *invocation* as a replay key:
-    an M-op region has M*(M-1)/2 pairs, and building (then hashing) a
-    tuple of that many ints dominated replay dispatch.  The O(M^2) work
-    runs as NumPy broadcasting when available; the scalar loop is the
-    fallback.
-    """
-    n = len(ranges)
-    if n < 2:
-        return b""
-    if _np is not None:
-        s = _np.fromiter((r[0] for r in ranges), dtype=_np.int64, count=n)
-        w = _np.fromiter((r[1] for r in ranges), dtype=_np.int64, count=n)
-        e = s + w
-        overlap = (s[:, None] < e[None, :]) & (s[None, :] < e[:, None])
-        exact = (s[:, None] == s[None, :]) & (w[:, None] == w[None, :])
-        code = (overlap.astype(_np.uint8) << 1) | exact.astype(_np.uint8)
-        # code is symmetric; row-major lower triangle == (j outer, i inner).
-        j, i = _np.tril_indices(n, k=-1)
-        return code[j, i].tobytes()
-    out = bytearray()
-    for j in range(1, n):
-        rj = ranges[j]
-        for i in range(j):
-            out.append(alias_code(ranges[i], rj))
-    return bytes(out)
-
-
 class MDEBackendBase(DisambiguationBackend):
     """Enforces ORDER / FORWARD / MAY edges over the dataflow fabric."""
 
@@ -135,26 +86,6 @@ class MDEBackendBase(DisambiguationBackend):
         self._addr_of = addr_of
         self._t0 = t0
         self._blocked_since.clear()
-
-    # ------------------------------------------------------------------
-    def replay_signature(self, addr_of):
-        """Alias verdicts of every MAY pair the comparator could check.
-
-        Without hardware checks no decision reads an address at all
-        (MAY edges serialize like ORDER edges), so the signature is
-        empty: every invocation of a region schedules identically and
-        the fast-vector engine can always attempt a replay.  With
-        checks, ``_run_check`` branches on overlap and
-        ``_try_forward_runtime`` on exactness — both per MAY edge — so
-        the per-edge :func:`alias_code` tuple pins every verdict.
-        """
-        if not self.hardware_checks:
-            return ()
-        return tuple(
-            alias_code(addr_of[edge.src], addr_of[edge.dst])
-            for edge in self.graph.mdes
-            if edge.kind is MDEKind.MAY
-        )
 
     # ------------------------------------------------------------------
     # Engine notifications

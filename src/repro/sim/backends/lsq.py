@@ -27,12 +27,7 @@ from repro.energy.config import EnergyEvent
 from repro.ir.graph import DFGraph
 from repro.ir.ops import Operation
 from repro.obs import tracer as obs
-from repro.sim.backends.base import (
-    alias_code,
-    alias_pair_bytes,
-    ranges_exact,
-    ranges_overlap,
-)
+from repro.sim.backends.base import ranges_exact, ranges_overlap
 from repro.sim.engine import DataflowEngine, DisambiguationBackend
 from repro.sim.values import mix
 
@@ -139,37 +134,6 @@ class OptLSQBackend(DisambiguationBackend):
         self._resume_time.clear()
         self._forward_from.clear()
         self._done.clear()
-
-    # ------------------------------------------------------------------
-    def replay_signature(self, addr_of):
-        """Canonical pattern of every address relation the LSQ consults.
-
-        Decisions branch on (a) pairwise overlap/exactness between an
-        issuing op and older in-flight ops, (b) which ops share a bank
-        (slot arbitration and bank-full stalls compare bank ids only
-        for equality, never their values), and (c) bloom probe results,
-        which depend only on which filter bits the in-flight lines'
-        signatures share.  Banks and bloom bits are therefore
-        canonicalized by first occurrence: two invocations whose
-        addresses induce the same *relational* structure schedule
-        identically even when the raw addresses differ every time —
-        which they do, and is what makes LSQ replay fire at all.
-        """
-        cfg = self.config
-        order = self._order
-        ranges = [addr_of[oid] for oid in order]
-        lines = [r[0] // cfg.line_bytes for r in ranges]
-        canon: Dict[int, int] = {}
-        bank_pat = tuple(
-            canon.setdefault(line % cfg.banks, len(canon)) for line in lines
-        )
-        bit_canon: Dict[int, int] = {}
-        bloom_pat = tuple(
-            bit_canon.setdefault(mix(line, k + 1) % cfg.bloom_bits, len(bit_canon))
-            for line in lines
-            for k in range(cfg.bloom_hashes)
-        )
-        return (bank_pat, alias_pair_bytes(ranges), bloom_pat)
 
     # ------------------------------------------------------------------
     def _bank_of(self, addr: int) -> int:

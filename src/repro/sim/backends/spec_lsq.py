@@ -41,12 +41,7 @@ from repro.energy.config import EnergyEvent
 from repro.ir.graph import DFGraph
 from repro.ir.ops import Operation
 from repro.obs import tracer as obs
-from repro.sim.backends.base import (
-    alias_code,
-    alias_pair_bytes,
-    ranges_exact,
-    ranges_overlap,
-)
+from repro.sim.backends.base import ranges_exact, ranges_overlap
 from repro.sim.engine import DataflowEngine, DisambiguationBackend
 
 
@@ -100,15 +95,12 @@ class SpecLSQBackend(DisambiguationBackend):
         self._addr_waiters: Dict[int, List[Callable[[int], None]]] = {}
         self._value_waiters: Dict[int, List[Callable[[int], None]]] = {}
         self._complete_waiters: Dict[int, List[Callable[[int], None]]] = {}
-        #: Pairs trained during the current invocation (replay carryover).
-        self._trained_log: List[Tuple[int, int]] = []
 
     # ------------------------------------------------------------------
     def attach(self, engine: DataflowEngine, graph: DFGraph, placement) -> None:
         super().attach(engine, graph, placement)
         mem = graph.memory_ops
         self._rank = {op.op_id: k for k, op in enumerate(mem)}
-        self._sig_order = [op.op_id for op in mem]
         self._stores_before = {
             op.op_id: [s.op_id for s in mem if s.is_store and s.op_id < op.op_id]
             for op in mem
@@ -126,35 +118,6 @@ class SpecLSQBackend(DisambiguationBackend):
         self._value_waiters.clear()
         self._complete_waiters.clear()
         self._addr_of = addr_of
-        self._trained_log = []
-
-    # ------------------------------------------------------------------
-    def replay_signature(self, addr_of):
-        """Pairwise alias verdicts plus the predictor's current pairs.
-
-        Every speculation/violation decision branches on overlap or
-        exactness between two memory ops (``_conflicting``,
-        ``_finish_load``) or on ``predicts_dependence`` — persistent
-        state the signature must pin, since a trained pair flips a
-        later identical invocation from speculate to wait.
-        """
-        ranges = [addr_of[oid] for oid in self._sig_order]
-        return (
-            alias_pair_bytes(ranges),
-            tuple(sorted(self.predictor._pairs)),
-        )
-
-    def replay_carryover(self):
-        # The pairs this invocation trained: the only cross-invocation
-        # state.  A replayed invocation with a matching signature would
-        # have trained exactly these, so re-applying them keeps the
-        # predictor's trajectory identical.
-        return tuple(self._trained_log)
-
-    def apply_carryover(self, token) -> None:
-        for store_id, load_id in token:
-            self.predictor.train(store_id, load_id)
-        self._trained_log = list(token)
 
     # ------------------------------------------------------------------
     # Wait-list plumbing
@@ -293,8 +256,6 @@ class SpecLSQBackend(DisambiguationBackend):
                         obs.VIOLATION, _t, op=oid, args={"stores": list(late)}
                     )
                 for s in late:
-                    if not self.predictor.predicts_dependence(s, oid):
-                        self._trained_log.append((s, oid))
                     self.predictor.train(s, oid)
                 all_conflicts = self._conflicting(oid, self._stores_before[oid])
                 live = [s for s in all_conflicts if s not in self._completed]

@@ -3,21 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass(frozen=True)
 class EngineConfig:
     """Latencies that are properties of the fabric, not of a backend."""
 
-    #: Execution-path selector: ``"reference"`` (the per-event heapq
-    #: loop), ``"fast"`` (invocation schedule templates + calendar
-    #: queue), ``"fast-vector"`` (templates plus the NumPy batch value
-    #: pass and guarded invocation replay) — the fast modes are
-    #: bit-exact by the differential equivalence suite — or ``None`` =
-    #: decide from ``$NACHOS_ENGINE`` (default reference).
-    #: See :func:`repro.sim.factory.make_engine`.
-    mode: Optional[str] = None
     #: Cycles to hand a store's value straight to a forwarded load.
     forward_latency: int = 1
     #: Cycles for a 1-bit ORDER ready-signal to reach the younger op.

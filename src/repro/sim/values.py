@@ -23,33 +23,6 @@ def mix(*parts: int) -> int:
     return acc
 
 
-def mix_array(*parts):
-    """Vectorized :func:`mix` over NumPy ``uint64`` arrays.
-
-    Each part may be a ``uint64`` array or a Python int (broadcast).
-    Bit-exact with :func:`mix` element-wise: ``uint64`` multiplication
-    wraps modulo 2**64 exactly like the masked Python arithmetic, so
-    ``mix_array(a, b)[i] == mix(int(a[i]), int(b[i]))`` for every lane.
-    Used by the fast-vector engine's batch value pass
-    (:mod:`repro.sim.vector`); imports NumPy lazily so the rest of the
-    value semantics stays dependency-free.
-    """
-    import numpy as np
-
-    mult = np.uint64(0xBF58476D1CE4E5B9)
-    shift = np.uint64(31)
-    acc = np.uint64(0x9E3779B97F4A7C15)
-    # uint64 wraparound is the point; silence NumPy's scalar-overflow
-    # warning so -W error runs stay clean.
-    with np.errstate(over="ignore"):
-        for p in parts:
-            if not isinstance(p, np.ndarray):
-                p = np.uint64(p & _MASK)
-            acc = (acc ^ p) * mult
-            acc = acc ^ (acc >> shift)
-    return acc
-
-
 def forwarded_value(value: int, width: int) -> int:
     """What a load observes when *value* is forwarded to it.
 

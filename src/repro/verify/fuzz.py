@@ -34,7 +34,6 @@ streams of historical seeds are unchanged.
 
 from __future__ import annotations
 
-import pickle
 import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -55,7 +54,6 @@ from repro.sim import (
     SerialMemBackend,
     SpecLSQBackend,
     golden_execute,
-    make_engine,
 )
 from repro.verify.sanitizer import SanitizerReport, sanitize_trace
 
@@ -116,8 +114,8 @@ class RegionSpec:
 class FuzzFailure:
     """One backend (or static checker) disagreeing with an oracle.
 
-    Dynamic failures (a backend against the golden model / sanitizer /
-    engine equivalence) have ``static_kind is None``.  Static failures
+    Dynamic failures (a backend against the golden model / sanitizer)
+    have ``static_kind is None``.  Static failures
     carry ``system="static"``, ``static_kind`` in ``{"oracle",
     "coverage"}``, the located findings, and — for injected faults —
     the ``fault_seed`` that reproduces the flipped verdict.
@@ -128,8 +126,6 @@ class FuzzFailure:
     oracle_ok: bool
     sanitizer: SanitizerReport
     shrunk_from: Optional[int] = None  # op count before shrinking
-    engine_divergence: bool = False    # reference vs fast-mode results differ
-    diverged_mode: Optional[str] = None  # which fast mode diverged
     static_kind: Optional[str] = None    # "oracle" | "coverage"
     static_findings: Tuple[str, ...] = ()
     fault_seed: Optional[int] = None     # seeded stage-fault that was injected
@@ -146,10 +142,6 @@ class FuzzFailure:
                          "happens-before pairs uncovered")
         for finding in self.static_findings[:5]:
             parts.append(f"  {finding}")
-        if self.engine_divergence:
-            mode = self.diverged_mode or "fast"
-            parts.append(f"  engine divergence: reference and {mode!r} "
-                         "modes produced different SimResults")
         if self.static_kind is None and not self.oracle_ok:
             parts.append("  golden-model mismatch (wrong load value or "
                          "final memory image)")
@@ -327,84 +319,12 @@ def run_spec(
     return oracle_ok, report
 
 
-def run_spec_result(spec: RegionSpec, system: str, mode: str) -> bytes:
-    """Run one region untraced under *mode*; return the pickled SimResult.
-
-    The engine-equivalence contract is byte-identity of the pickled
-    :class:`~repro.sim.result.SimResult`, so this returns the bytes
-    directly — comparing them compares every field (cycles, load
-    values, memory image, energy counts, cache stats, ...) at once.
-    """
-    graph = build_graph(spec)
-    if system in NEEDS_MDES:
-        compile_region(graph)
-    else:
-        graph.clear_mdes()
-    engine = make_engine(
-        graph,
-        place_region(graph),
-        MemoryHierarchy(),
-        BACKENDS[system](),
-        mode=mode,
-    )
-    return pickle.dumps(engine.run(spec.env_dicts()))
-
-
-#: Fast engine modes cross-checked per ``engines`` selection.
-_ENGINES_UNDER_TEST = {
-    "reference": (),
-    "both": ("fast",),
-    "all": ("fast", "fast-vector"),
-}
-
-
-def _modes_diverge(spec: RegionSpec, system: str, mode: str = "fast") -> bool:
-    """Shrink predicate: do reference and *mode* disagree on *spec*?"""
-    try:
-        ref = run_spec_result(spec, system, "reference")
-        fast = run_spec_result(spec, system, mode)
-    except Exception:
-        return False  # a repro must diverge, not crash elsewhere
-    return ref != fast
-
-
-def _first_diverging_mode(
-    spec: RegionSpec, system: str, engines: str
-) -> Optional[str]:
-    """The first fast mode whose SimResult differs from reference's."""
-    modes = _ENGINES_UNDER_TEST[engines]
-    if not modes:
-        return None
-    ref = run_spec_result(spec, system, "reference")
-    for mode in modes:
-        if run_spec_result(spec, system, mode) != ref:
-            return mode
-    return None
-
-
-def check_spec(
-    spec: RegionSpec,
-    systems: Sequence[str],
-    engines: str = "reference",
-) -> List[FuzzFailure]:
+def check_spec(spec: RegionSpec, systems: Sequence[str]) -> List[FuzzFailure]:
     failures = []
     for system in systems:
         oracle_ok, report = run_spec(spec, system)
         if not oracle_ok or not report.ok:
             failures.append(FuzzFailure(spec, system, oracle_ok, report))
-            continue
-        diverged = _first_diverging_mode(spec, system, engines)
-        if diverged is not None:
-            failures.append(
-                FuzzFailure(
-                    spec,
-                    system,
-                    oracle_ok,
-                    report,
-                    engine_divergence=True,
-                    diverged_mode=diverged,
-                )
-            )
     return failures
 
 
@@ -638,20 +558,11 @@ def fuzz(
     progress: Optional[Callable[[int, int], None]] = None,
     shrink_failures: bool = True,
     max_failures: int = 5,
-    engines: str = "reference",
     oracle: bool = False,
     coverage: bool = False,
     fault_seed: Optional[int] = None,
 ) -> FuzzResult:
     """Run *count* regions through the differential harness.
-
-    ``engines="both"`` additionally cross-checks every clean
-    (spec, system) pair between the reference and fast execution
-    engines — ``engines="all"`` adds fast-vector for a three-way
-    check — and the pickled SimResults must be byte-identical.  A
-    divergence is reported (and shrunk) like any other failure, with
-    :attr:`FuzzFailure.engine_divergence` set and
-    :attr:`FuzzFailure.diverged_mode` naming the mode that broke.
 
     ``oracle=True`` cross-checks every stage-1..4 NO/MUST verdict of
     every region against the separation-logic oracle;
@@ -667,21 +578,15 @@ def fuzz(
             raise ValueError(
                 f"unknown system {s!r}; expected one of {sorted(BACKENDS)}"
             )
-    if engines not in _ENGINES_UNDER_TEST:
-        raise ValueError(
-            f"unknown engines selection {engines!r}; "
-            f"expected one of {sorted(_ENGINES_UNDER_TEST)}"
-        )
     if fault_seed is not None and not oracle:
         raise ValueError("fault_seed requires oracle=True")
     result = FuzzResult()
-    runs_per_pair = 1 + len(_ENGINES_UNDER_TEST[engines])
     for k in range(count):
         if progress is not None:
             progress(k, count)
         spec = generate_spec(seed, k)
         result.regions += 1
-        result.runs += len(systems) * runs_per_pair
+        result.runs += len(systems)
         if oracle or coverage:
             result.static_checks += 1
             static_failures: List[FuzzFailure] = []
@@ -739,22 +644,8 @@ def fuzz(
                 result.failures.append(failure)
                 if len(result.failures) >= max_failures:
                     return result
-        for failure in check_spec(spec, systems, engines=engines):
-            if shrink_failures and failure.engine_divergence:
-                n_before = len(failure.spec.ops)
-                mode = failure.diverged_mode or "fast"
-                small = shrink(
-                    failure.spec,
-                    failure.system,
-                    fails=lambda sp, sy: _modes_diverge(sp, sy, mode),
-                )
-                failure = FuzzFailure(
-                    small, failure.system, failure.oracle_ok,
-                    failure.sanitizer, shrunk_from=n_before,
-                    engine_divergence=True,
-                    diverged_mode=mode,
-                )
-            elif shrink_failures:
+        for failure in check_spec(spec, systems):
+            if shrink_failures:
                 n_before = len(failure.spec.ops)
                 small = shrink(failure.spec, failure.system)
                 oracle_ok, report = run_spec(small, failure.system)

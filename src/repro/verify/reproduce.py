@@ -39,7 +39,6 @@ def failure_to_dict(failure: FuzzFailure) -> dict:
         "format": FORMAT,
         "system": failure.system,
         "oracle_ok": failure.oracle_ok,
-        "engine_divergence": failure.engine_divergence,
         "violations": [str(v) for v in failure.sanitizer.violations],
         "spec": {
             "name": failure.spec.name,
@@ -97,11 +96,9 @@ def load_repro(path: Path) -> Tuple[RegionSpec, str]:
 def rerun(path: Path) -> Tuple[bool, SanitizerReport]:
     """Re-execute a saved repro; returns (oracle_ok, sanitizer_report).
 
-    A repro saved from an engine-divergence failure re-checks
-    reference-vs-fast equivalence as well — it "still fails" until the
-    modes agree again, folded into the returned ok flag.  A *static*
-    repro re-runs its checker (re-injecting the recorded fault seed, if
-    any) instead of executing: ok means the checker no longer fires.
+    A *static* repro re-runs its checker (re-injecting the recorded
+    fault seed, if any) instead of executing: ok means the checker no
+    longer fires.
     """
     spec, system = load_repro(path)
     payload = json.loads(Path(path).read_text())
@@ -114,9 +111,4 @@ def rerun(path: Path) -> Tuple[bool, SanitizerReport]:
         report = SanitizerReport(backend="static", region=spec.name)
         report.violations.extend(str(f) for f in findings)
         return not findings, report
-    oracle_ok, report = run_spec(spec, system)
-    if payload.get("engine_divergence"):
-        from repro.verify.fuzz import _modes_diverge
-
-        oracle_ok = oracle_ok and not _modes_diverge(spec, system)
-    return oracle_ok, report
+    return run_spec(spec, system)

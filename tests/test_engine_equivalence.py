@@ -1,33 +1,26 @@
-"""Differential equivalence suite: reference vs fast vs fast-vector.
+"""Equivalence of the ways to build and observe the one dataflow engine.
 
-The fast engine (:class:`repro.sim.fast.FastEngine`) replays invocation
-schedule templates instead of re-simulating the static compute subgraph
-event by event; the fast-vector engine
-(:class:`repro.sim.vector.VectorEngine`) adds the NumPy batch value
-pass and guarded invocation replay on top.  The contract for both is
-*byte-identity*: for any (region, backend, invocation stream),
-``pickle.dumps(SimResult)`` must equal the reference engine's — same
-cycles, load values, memory image, energy counts, cache stats, backend
-stats, everything.  This suite enforces that contract over three
-corpora:
+``make_engine`` is the single construction entry point, and tracing and
+timeline recording are meant to be pure observers.  The contract is
+*byte-identity*: for every (litmus pattern, backend) pair over a
+multi-invocation stream, ``pickle.dumps(SimResult)`` is the same whether
+the engine comes from ``make_engine`` or from ``DataflowEngine``
+directly, and whether or not a :class:`Tracer` or a
+:class:`TimelineRecorder` is attached — same cycles, load values,
+memory image, energy counts, cache stats, backend stats, everything.
+Each build uses a fresh graph, placement and hierarchy, so the check
+also pins run-to-run determinism.
 
-* the full memory-ordering litmus suite (every pattern x every backend,
-  multi-invocation so templates actually get replayed),
-* a fixed-seed slice of the differential alias fuzzer's region
-  generator (dense MAY graphs, late addresses, slow stores, ...),
-* one real compiled region per SPEC benchmark, driven through
-  ``run_system`` so the engine-mode cache-key plumbing is on the hook
-  too (a cross-mode cache hit would make this test vacuous — and
-  schema'd keys make it fail instead).
-
-Plus the seams: mode resolution precedence, loud fallback, and the
-fuzzer's ``engines="both"`` cross-check wiring.
+Two corpora are on the hook: the memory-ordering litmus suite (every
+pattern x every backend x every build variant) and a fixed-seed slice
+of the differential alias fuzzer's region generator, where the traced
+build is the one the fuzz campaign checks against ``golden_execute``
+and the untraced one is what the figures run.
 """
 
 from __future__ import annotations
 
 import pickle
-import warnings
 
 import pytest
 
@@ -37,41 +30,41 @@ from repro.cgra.placement import place_region
 from repro.compiler import compile_region
 from repro.memory import MemoryHierarchy
 from repro.obs.tracer import Tracer
-from repro.sim import (
-    DataflowEngine,
-    EngineConfig,
-    EngineModeFallback,
-    FastEngine,
-    make_engine,
-    resolve_engine_mode,
-)
-from repro.sim.vector import VectorEngine
-from repro.verify.fuzz import fuzz, generate_spec, run_spec_result
-from repro.workloads.suite import benchmark_names
+from repro.sim import DataflowEngine, TimelineRecorder, golden_execute, make_engine
+from repro.verify.fuzz import build_graph, generate_spec
 
 FUZZ_SEED = 0
 FUZZ_SPECS = 200
 FUZZ_CHUNK = 25
 
-#: Template-based modes checked against the reference engine.
-FAST_MODES = ("fast", "fast-vector")
+#: Invocation-stream repeats: later repeats run against a warm hierarchy
+#: and carried-over backend state, which a single invocation never sees.
+INVOCATION_REPEATS = 3
+
+#: How each variant builds its engine from (graph, placement, hierarchy,
+#: backend).
+BUILDS = {
+    "make_engine": lambda *parts: make_engine(*parts),
+    "direct": lambda *parts: DataflowEngine(*parts),
+    "traced": lambda *parts: make_engine(*parts, tracer=Tracer()),
+    "recorded": lambda *parts: make_engine(
+        *parts, recorder=TimelineRecorder()
+    ),
+}
 
 
-def _result_bytes(build_fn, backend_name, envs, mode):
-    """Pickled SimResult for one litmus pattern under one engine mode."""
+def _run(build_fn, backend_name, envs, build):
+    """Fresh graph (from ``build_fn``) and engine for one backend;
+    returns the graph and the run's SimResult."""
     graph = build_fn()
     if backend_name in NEEDS_MDES:
         compile_region(graph)
     else:
         graph.clear_mdes()
-    engine = make_engine(
-        graph,
-        place_region(graph),
-        MemoryHierarchy(),
-        BACKENDS[backend_name](),
-        mode=mode,
+    engine = BUILDS[build](
+        graph, place_region(graph), MemoryHierarchy(), BACKENDS[backend_name]()
     )
-    return pickle.dumps(engine.run(envs))
+    return graph, engine.run(envs)
 
 
 # ---------------------------------------------------------------------------
@@ -81,14 +74,18 @@ def _result_bytes(build_fn, backend_name, envs, mode):
 @pytest.mark.parametrize("litmus", sorted(LITMUS))
 def test_litmus_equivalence(backend, litmus):
     build_fn, envs = LITMUS[litmus]
-    # x3 invocations: the template is captured on the first and
-    # *replayed* on the rest, so single-invocation runs would never
-    # exercise the replay path.
-    envs = envs * 3
-    ref = _result_bytes(build_fn, backend, envs, "reference")
-    for mode in FAST_MODES:
-        fast = _result_bytes(build_fn, backend, envs, mode)
-        assert ref == fast, f"{litmus}/{backend}/{mode}: SimResults diverge"
+    envs = envs * INVOCATION_REPEATS
+    graph, ref = _run(build_fn, backend, envs, "make_engine")
+    golden = golden_execute(graph, envs)
+    assert golden.matches(ref.load_values, ref.memory_image), (
+        f"{litmus}/{backend}: diverges from program order"
+    )
+    ref_bytes = pickle.dumps(ref)
+    for build in sorted(BUILDS):
+        _, other = _run(build_fn, backend, envs, build)
+        assert pickle.dumps(other) == ref_bytes, (
+            f"{litmus}/{backend}/{build}: SimResults diverge"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -98,272 +95,10 @@ def test_litmus_equivalence(backend, litmus):
 def test_fuzz_corpus_equivalence(chunk):
     for index in range(chunk * FUZZ_CHUNK, (chunk + 1) * FUZZ_CHUNK):
         spec = generate_spec(FUZZ_SEED, index)
+        envs = spec.env_dicts()
         for system in sorted(BACKENDS):
-            ref = run_spec_result(spec, system, "reference")
-            for mode in FAST_MODES:
-                fast = run_spec_result(spec, system, mode)
-                assert ref == fast, (
-                    f"{spec.name}/{system}/{mode}: SimResults diverge"
-                )
-
-
-def test_fuzz_engines_both_wiring():
-    """``fuzz(engines='both')`` doubles the run count and stays clean."""
-    result = fuzz(5, seed=3, engines="both", shrink_failures=False)
-    assert result.ok, [f.describe() for f in result.failures]
-    assert result.runs == 5 * len(BACKENDS) * 2
-
-
-def test_fuzz_engines_all_wiring():
-    """``fuzz(engines='all')`` triples the run count (3-way check)."""
-    result = fuzz(5, seed=3, engines="all", shrink_failures=False)
-    assert result.ok, [f.describe() for f in result.failures]
-    assert result.runs == 5 * len(BACKENDS) * 3
-
-
-def test_fuzz_engines_rejects_unknown():
-    with pytest.raises(ValueError, match="engines"):
-        fuzz(1, engines="fast")
-
-
-# ---------------------------------------------------------------------------
-# Corpus 3: real compiled regions through run_system (cache-key plumbing)
-# ---------------------------------------------------------------------------
-@pytest.mark.parametrize("bench", benchmark_names())
-def test_real_region_equivalence(bench):
-    from repro.experiments.common import run_system
-    from repro.workloads.generator import build_workload
-    from repro.workloads.suite import get_spec
-
-    workload = build_workload(get_spec(bench), path_index=0)
-    for system in sorted(BACKENDS):
-        ref = run_system(
-            workload, system, invocations=4,
-            engine_config=EngineConfig(mode="reference"),
-        )
-        for mode in FAST_MODES:
-            fast = run_system(
-                workload, system, invocations=4,
-                engine_config=EngineConfig(mode=mode),
+            _, ref = _run(lambda: build_graph(spec), system, envs, "make_engine")
+            _, traced = _run(lambda: build_graph(spec), system, envs, "traced")
+            assert pickle.dumps(ref) == pickle.dumps(traced), (
+                f"{spec.name}/{system}: traced and untraced SimResults diverge"
             )
-            assert pickle.dumps(ref.sim) == pickle.dumps(fast.sim), (
-                f"{bench}/{system}/{mode}: SimResults diverge"
-            )
-            assert fast.correct
-
-
-# ---------------------------------------------------------------------------
-# Mode resolution and fallback seams
-# ---------------------------------------------------------------------------
-def _micro_engine_parts():
-    build_fn, envs = LITMUS["forwarding_chain"]
-    graph = build_fn()
-    graph.clear_mdes()
-    return graph, place_region(graph), MemoryHierarchy(), BACKENDS["opt-lsq"]()
-
-
-def test_mode_precedence_config_beats_env(monkeypatch):
-    monkeypatch.setenv("NACHOS_ENGINE", "fast")
-    assert resolve_engine_mode(EngineConfig(mode="reference")) == "reference"
-    assert resolve_engine_mode(EngineConfig()) == "fast"
-    monkeypatch.delenv("NACHOS_ENGINE")
-    assert resolve_engine_mode(EngineConfig()) == "reference"
-    assert resolve_engine_mode(None) == "reference"
-
-
-def test_mode_rejects_unknown(monkeypatch):
-    with pytest.raises(ValueError, match="unknown engine mode"):
-        resolve_engine_mode(EngineConfig(mode="turbo"))
-    monkeypatch.setenv("NACHOS_ENGINE", "warp")
-    with pytest.raises(ValueError, match="unknown engine mode"):
-        resolve_engine_mode(None)
-
-
-def test_make_engine_builds_requested_class():
-    graph, placement, hierarchy, backend = _micro_engine_parts()
-    eng = make_engine(graph, placement, hierarchy, backend, mode="fast")
-    assert type(eng) is FastEngine
-    graph, placement, hierarchy, backend = _micro_engine_parts()
-    eng = make_engine(graph, placement, hierarchy, backend, mode="fast-vector")
-    assert type(eng) is VectorEngine
-    graph, placement, hierarchy, backend = _micro_engine_parts()
-    eng = make_engine(graph, placement, hierarchy, backend, mode="reference")
-    assert type(eng) is DataflowEngine
-
-
-@pytest.mark.parametrize("mode", FAST_MODES)
-def test_fast_with_tracer_falls_back_loudly(mode):
-    graph, placement, hierarchy, backend = _micro_engine_parts()
-    with pytest.warns(EngineModeFallback, match="tracing"):
-        eng = make_engine(
-            graph, placement, hierarchy, backend, tracer=Tracer(), mode=mode
-        )
-    assert type(eng) is DataflowEngine
-
-
-@pytest.mark.parametrize("mode", FAST_MODES)
-def test_fast_with_link_contention_falls_back_loudly(mode):
-    graph, placement, hierarchy, backend = _micro_engine_parts()
-    cfg = EngineConfig(mode=mode, model_link_contention=True)
-    with pytest.warns(EngineModeFallback, match="contention"):
-        eng = make_engine(graph, placement, hierarchy, backend, config=cfg)
-    assert type(eng) is DataflowEngine
-
-
-@pytest.mark.parametrize("cls", [FastEngine, VectorEngine])
-def test_fast_engine_direct_construction_refuses_tracer(cls):
-    graph, placement, hierarchy, backend = _micro_engine_parts()
-    with pytest.raises(ValueError):
-        cls(graph, placement, hierarchy, backend, tracer=Tracer())
-
-
-def test_disabled_tracer_does_not_trigger_fallback():
-    graph, placement, hierarchy, backend = _micro_engine_parts()
-    tracer = Tracer()
-    tracer.enabled = False
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", EngineModeFallback)
-        eng = make_engine(
-            graph, placement, hierarchy, backend, tracer=tracer, mode="fast"
-        )
-    assert type(eng) is FastEngine
-
-
-def test_env_mode_reaches_run_system(monkeypatch):
-    """$NACHOS_ENGINE alone must steer run_system (and its cache key)."""
-    from repro.experiments.common import run_system
-    from repro.workloads.micro import build_micro
-
-    workload = build_micro("gather")
-    ref = run_system(workload, "nachos", invocations=3)
-    for mode in FAST_MODES:
-        monkeypatch.setenv("NACHOS_ENGINE", mode)
-        fast = run_system(workload, "nachos", invocations=3)
-        assert pickle.dumps(ref.sim) == pickle.dumps(fast.sim), mode
-
-
-# ---------------------------------------------------------------------------
-# Fast-vector seams: replay instrumentation, batch values, fallbacks
-# ---------------------------------------------------------------------------
-def _vector_parts(litmus="forwarding_chain", backend="opt-lsq"):
-    build_fn, envs = LITMUS[litmus]
-    graph = build_fn()
-    if backend in NEEDS_MDES:
-        compile_region(graph)
-    else:
-        graph.clear_mdes()
-    return graph, place_region(graph), envs
-
-
-def test_vector_replay_actually_fires():
-    """Repeated invocations must be served by guarded replay, and the
-    cold->warm hierarchy transition must register as a divergence that
-    re-captures (never as silent wrong results)."""
-    graph, placement, envs = _vector_parts()
-    engine = VectorEngine(
-        graph, placement, MemoryHierarchy(), BACKENDS["opt-lsq"]()
-    )
-    result = engine.run(envs * 6)
-    st = engine.vector_stats
-    assert st["invocations"] == 6 * len(envs)
-    assert st["captured"] >= 1
-    assert st["replayed"] >= 3
-    assert st["ops_vectorized"] > 0
-    # Byte-identity with the reference engine on the same stream.
-    graph2, placement2, _ = _vector_parts()
-    ref = DataflowEngine(
-        graph2, placement2, MemoryHierarchy(), BACKENDS["opt-lsq"]()
-    )
-    assert pickle.dumps(ref.run(envs * 6)) == pickle.dumps(result)
-
-
-def test_vector_recorder_falls_back_per_invocation():
-    """A timeline recorder forces the per-event path (which feeds it)
-    while staying byte-exact with the reference engine's recording."""
-    from repro.sim.timeline import TimelineRecorder
-
-    graph, placement, envs = _vector_parts()
-    vec_rec = TimelineRecorder()
-    engine = VectorEngine(
-        graph, placement, MemoryHierarchy(), BACKENDS["opt-lsq"](),
-        recorder=vec_rec,
-    )
-    vec = engine.run(envs * 3)
-    st = engine.vector_stats
-    assert st["replayed"] == 0
-    assert st["fallback_reasons"].get("recorder") == 3 * len(envs)
-
-    graph2, placement2, _ = _vector_parts()
-    ref_rec = TimelineRecorder()
-    ref_engine = DataflowEngine(
-        graph2, placement2, MemoryHierarchy(), BACKENDS["opt-lsq"](),
-        recorder=ref_rec,
-    )
-    ref = ref_engine.run(envs * 3)
-    assert pickle.dumps(ref) == pickle.dumps(vec)
-    assert len(vec_rec.invocations) == len(ref_rec.invocations)
-
-
-def test_vector_backend_opaque_signature_falls_back():
-    """A backend whose replay_signature is None never replays (and the
-    engine still matches the per-event result bit-for-bit)."""
-    graph, placement, envs = _vector_parts()
-    backend = BACKENDS["opt-lsq"]()
-    backend.replay_signature = lambda addr_of: None
-    engine = VectorEngine(graph, placement, MemoryHierarchy(), backend)
-    result = engine.run(envs * 3)
-    st = engine.vector_stats
-    assert st["replayed"] == 0
-    assert st["fallback_reasons"].get("backend-opaque") == 3 * len(envs)
-
-    graph2, placement2, _ = _vector_parts()
-    ref = DataflowEngine(
-        graph2, placement2, MemoryHierarchy(), BACKENDS["opt-lsq"]()
-    )
-    assert pickle.dumps(ref.run(envs * 3)) == pickle.dumps(result)
-
-
-def test_vector_batch_values_match_scalar_mix():
-    """mix_array is lane-for-lane bit-exact with mix (the batch value
-    pass depends on it)."""
-    import numpy as np
-
-    from repro.sim.values import mix, mix_array
-
-    invs = np.arange(257, dtype=np.uint64)
-    batch = mix_array(0x1F, 42, invs)
-    for inv in (0, 1, 2, 100, 256):
-        assert int(batch[inv]) == mix(0x1F, 42, inv)
-    nested = mix_array(7, batch, mix_array(9, invs))
-    for inv in (0, 3, 255):
-        assert int(nested[inv]) == mix(7, mix(0x1F, 42, inv), mix(9, inv))
-
-
-def test_vector_profile_counters_recorded():
-    """With profiling enabled, a fast-vector run reports batch-vs-
-    fallback telemetry; with it disabled, nothing is recorded."""
-    from repro.obs.profile import enable_profiling, get_profile, reset_profile
-
-    graph, placement, envs = _vector_parts()
-    engine = VectorEngine(
-        graph, placement, MemoryHierarchy(), BACKENDS["opt-lsq"]()
-    )
-    reset_profile()
-    try:
-        engine.run(envs * 2)
-        assert not get_profile().vectors  # disabled: zero overhead path
-        enable_profiling()
-        graph2, placement2, _ = _vector_parts()
-        engine = VectorEngine(
-            graph2, placement2, MemoryHierarchy(), BACKENDS["opt-lsq"]()
-        )
-        engine.run(envs * 2)
-        records = get_profile().vectors
-        assert len(records) == 1
-        assert records[0].system == "opt-lsq"
-        assert records[0].invocations == 2 * len(envs)
-        rollup = get_profile().vector_rollup()
-        assert records[0].region in rollup
-    finally:
-        reset_profile()
-        get_profile().enabled = False

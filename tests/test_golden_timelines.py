@@ -2,15 +2,9 @@
 
 Serializes the :class:`TimelineRecorder` output (per-op start/complete
 times for every invocation, every backend) of each litmus pattern and
-pins it against committed JSON under ``tests/golden/``.  Two things are
-on the hook:
-
-* **semantic drift** — an engine or backend change that moves *when*
-  ops execute shows up as a golden diff, even if final values stay
-  correct;
-* **fast-engine timeline fidelity** — the fast engine prefills static
-  op timings from its schedule template instead of recording live
-  events, and must serialize identically to the reference recorder.
+pins it against committed JSON under ``tests/golden/``: an engine or
+backend change that moves *when* ops execute shows up as a golden diff,
+even if final values stay correct.
 
 Regenerate intentionally with ``pytest --update-golden`` (then review
 the diff like any other behavior change).
@@ -31,10 +25,10 @@ from repro.memory import MemoryHierarchy
 from repro.sim import TimelineRecorder, make_engine
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-INVOCATION_REPEATS = 2  # template captured on inv 0, replayed on inv 1
+INVOCATION_REPEATS = 2  # the second repeat runs against a warm L1
 
 
-def _record_timelines(name: str, mode: str) -> dict:
+def _record_timelines(name: str) -> dict:
     """One pattern's serialized timelines for every backend."""
     build_fn, envs = LITMUS[name]
     envs = envs * INVOCATION_REPEATS
@@ -52,7 +46,6 @@ def _record_timelines(name: str, mode: str) -> dict:
             MemoryHierarchy(),
             BACKENDS[backend_name](),
             recorder=recorder,
-            mode=mode,
         )
         engine.run(envs)
         per_backend[backend_name] = [
@@ -72,7 +65,7 @@ def _record_timelines(name: str, mode: str) -> dict:
 
 @pytest.mark.parametrize("litmus", sorted(LITMUS))
 def test_golden_timeline(litmus, update_golden):
-    current = _record_timelines(litmus, "reference")
+    current = _record_timelines(litmus)
     path = GOLDEN_DIR / f"{litmus}.json"
     if update_golden:
         GOLDEN_DIR.mkdir(exist_ok=True)
@@ -87,16 +80,3 @@ def test_golden_timeline(litmus, update_golden):
         "regenerate with pytest --update-golden and review the diff"
     )
 
-
-@pytest.mark.parametrize("litmus", sorted(LITMUS))
-def test_fast_engine_matches_golden(litmus, update_golden):
-    """The fast engine's template-prefilled recorder output must match
-    the same golden corpus, not merely the live reference run."""
-    if update_golden:
-        pytest.skip("golden files being rewritten by the reference run")
-    path = GOLDEN_DIR / f"{litmus}.json"
-    assert path.exists(), (
-        f"missing golden file {path}; generate with pytest --update-golden"
-    )
-    golden = json.loads(path.read_text())
-    assert _record_timelines(litmus, "fast") == golden

@@ -27,7 +27,6 @@ from repro.obs import (
     record_from_fuzz,
     record_from_profile,
     record_from_registries,
-    record_from_vector,
     render_html,
     render_markdown,
 )
@@ -115,11 +114,10 @@ def test_ledger_skips_newer_schema_and_garbage(tmp_path):
 def test_capture_context_overrides(monkeypatch):
     monkeypatch.setenv("NACHOS_GIT_SHA", "deadbeef")
     monkeypatch.setenv("NACHOS_HOST_ID", "runner-1")
-    ctx = capture_context(engine="fast", jobs=4, mode="quick", seed=7)
+    ctx = capture_context(jobs=4, mode="quick", seed=7)
     assert ctx == {
         "git_sha": "deadbeef",
         "host": "runner-1",
-        "engine": "fast",
         "jobs": "4",
         "mode": "quick",
         "seed": "7",
@@ -139,49 +137,27 @@ def test_record_from_bench():
         "warm_seconds": 5.23,
         "warm_speedup_vs_cold": 14.35,
         "cache": {"hits": 978, "misses": 1005},
-        "engine_compare": {
-            "fast_speedup_vs_reference": 1.223,
-            "identical": True,  # booleans must not leak in as metrics
-            "modes": "nope",    # nor strings
-        },
         "per_figure_wall_seconds": {"fig11": 9.5, "tab3": 1.2},
     }
     rec = record_from_bench(report, context={"mode": "full"})
     assert rec.source == "bench"
     assert rec.metrics["cold_seconds"] == 75.06
     assert rec.metrics["cache_hit_rate"] == pytest.approx(978 / 1983)
-    assert rec.metrics["fast_speedup_vs_reference"] == 1.223
     assert rec.metrics["figure.fig11.wall_seconds"] == 9.5
-    assert "identical" not in rec.metrics and "modes" not in rec.metrics
 
 
-def test_record_from_profile_and_vector():
+def test_record_from_profile():
     profile = SweepProfile(enabled=True)
     profile.record_task("bzip2", "nachos", 2.0, worker=11, hits=1)
     profile.record_task("lbm", "nachos", 0.5, worker=12, misses=1)
     profile.record_sweep(tasks=2, jobs=2, wall_seconds=1.5)
-    rec = record_from_profile(
-        profile, {"fig11": 1.6}, context={"engine": "fast-vector"}
-    )
+    rec = record_from_profile(profile, {"fig11": 1.6}, context={})
     assert rec.source == "profile"
     assert rec.metrics["tasks"] == 2.0
     assert rec.metrics["sweep_wall_seconds"] == 1.5
     assert rec.metrics["cache_hit_rate"] == 0.5
     assert rec.metrics["region.bzip2.seconds"] == 2.0
     assert rec.metrics["figure.fig11.wall_seconds"] == 1.6
-
-    # No VectorRecords -> no vector ledger record at all.
-    assert record_from_vector(profile, context={}) is None
-    stats = {
-        "invocations": 40, "captured": 2, "replayed": 36, "divergences": 1,
-        "ops_vectorized": 360, "ops_dynamic": 40, "fallback_reasons": {},
-    }
-    profile.record_vector("bzip2", "nachos", stats)
-    vec = record_from_vector(profile, context={"engine": "fast-vector"})
-    assert vec.source == "vector"
-    assert vec.metrics["replay_fraction"] == pytest.approx(36 / 40)
-    assert vec.metrics["vectorized_op_fraction"] == pytest.approx(0.9)
-    assert vec.metrics["region.bzip2.replay_fraction"] == pytest.approx(0.9)
 
 
 def test_record_from_coverage_fuzz_registries():
@@ -265,12 +241,12 @@ def test_noise_floor_suppresses_relative_blowups():
 
 def test_higher_is_better_direction():
     budget = Budget(
-        metric="replay_fraction", source="bench", direction="higher",
+        metric="cache_hit_rate", source="bench", direction="higher",
         max_regression=0.10, min_samples=3,
     )
-    drop = series([0.9, 0.9, 0.5], metric="replay_fraction")
+    drop = series([0.9, 0.9, 0.5], metric="cache_hit_rate")
     assert check_budget(drop, budget).status == REGRESSION
-    rise = series([0.9, 0.9, 0.95], metric="replay_fraction")
+    rise = series([0.9, 0.9, 0.95], metric="cache_hit_rate")
     assert check_budget(rise, budget).status == OK
 
 
@@ -294,10 +270,7 @@ def test_load_budgets_committed_file_and_errors(tmp_path):
     budgets, blessed = load_budgets(REPO / "perf_budgets.toml")
     keys = {b.key for b in budgets}
     assert {
-        "bench:cold_seconds", "bench:warm_seconds",
-        "bench:fast_speedup_vs_reference",
-        "bench:fast_vector_speedup_vs_reference",
-        "bench:cache_hit_rate", "vector:replay_fraction",
+        "bench:cold_seconds", "bench:warm_seconds", "bench:cache_hit_rate",
         "coverage:total_pct",
     } <= keys
     assert blessed == []
