@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.cgra.placement import place_region
@@ -15,6 +18,7 @@ from repro.ir import (
 )
 from repro.memory import MemoryHierarchy
 from repro.sim import DataflowEngine, NachosBackend, NachosSWBackend, OptLSQBackend
+from repro.sim.result import BackendStats
 
 
 def pytest_addoption(parser):
@@ -39,6 +43,21 @@ def _isolated_result_cache(tmp_path_factory):
 
     configure_cache(root=tmp_path_factory.mktemp("nachos-cache"), enabled=True)
     yield
+
+
+@pytest.fixture
+def cold_experiments():
+    """The experiment layer with its memos cleared and the result cache
+    off, so every ``run_system`` call compiles and simulates afresh."""
+    from repro.experiments import common
+    from repro.runtime.cache import configure_cache, get_cache
+
+    prev = get_cache()
+    configure_cache(enabled=False)
+    common.clear_memos()
+    yield common
+    common.clear_memos()
+    configure_cache(root=prev.root, enabled=prev.enabled)
 
 
 @pytest.fixture
@@ -113,3 +132,30 @@ def make_engine(graph, backend_name="nachos-sw"):
 @pytest.fixture
 def engine_factory():
     return make_engine
+
+
+def digest(value) -> str:
+    """Short sha256 of *value*'s compact JSON form."""
+    text = json.dumps(value, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def sim_record(sim) -> dict:
+    """A :class:`~repro.sim.result.SimResult`'s observable outputs as
+    plain JSON: cycles, energy counts, backend counters, L1 stats and
+    digests of the load values and the final memory image."""
+    return {
+        "cycles": sim.cycles,
+        "per_invocation_cycles": list(sim.per_invocation_cycles),
+        "energy_counts": {e.value: n for e, n in sim.energy.counts.items()},
+        "backend_stats": {
+            name: getattr(sim.backend_stats, name)
+            for name in BackendStats.COUNTERS
+        },
+        "l1_hits": sim.l1_hits,
+        "l1_misses": sim.l1_misses,
+        "load_values": digest(sorted(
+            [inv, op, value] for (inv, op), value in sim.load_values.items()
+        )),
+        "memory_image": digest([list(pair) for pair in sim.memory_image]),
+    }

@@ -22,7 +22,6 @@ behaviour change.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -30,10 +29,9 @@ import pytest
 
 from repro.experiments import common
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.runtime.cache import configure_cache, get_cache
-from repro.sim.result import BackendStats
 from repro.workloads.generator import build_workload
 from repro.workloads.suite import benchmark_names, get_spec
+from tests.conftest import sim_record
 
 SNAPSHOT = Path(__file__).parent / "golden" / "real_regions.json"
 INVOCATIONS = 8
@@ -48,11 +46,6 @@ SYSTEMS = (
 )
 
 
-def _digest(value) -> str:
-    text = json.dumps(value, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
 class _CapturingHierarchy(MemoryHierarchy):
     """The hierarchy ``run_system`` builds, kept so L2 stats are readable."""
 
@@ -64,37 +57,19 @@ class _CapturingHierarchy(MemoryHierarchy):
 
 
 @pytest.fixture
-def cold_runs(monkeypatch):
+def cold_runs(cold_experiments, monkeypatch):
     """``run_system`` with nothing memoized or cached, hierarchy captured."""
-    prev = get_cache()
-    configure_cache(enabled=False)
-    common.clear_memos()
     monkeypatch.setattr(common, "MemoryHierarchy", _CapturingHierarchy)
     _CapturingHierarchy.built = []
-    yield _CapturingHierarchy.built
-    common.clear_memos()
-    configure_cache(root=prev.root, enabled=prev.enabled)
+    return _CapturingHierarchy.built
 
 
 def _record(run, hierarchy) -> dict:
-    sim = run.sim
     l2 = hierarchy.l2.stats
     return {
-        "cycles": sim.cycles,
-        "per_invocation_cycles": list(sim.per_invocation_cycles),
-        "energy_counts": {e.value: n for e, n in sim.energy.counts.items()},
-        "backend_stats": {
-            name: getattr(sim.backend_stats, name)
-            for name in BackendStats.COUNTERS
-        },
-        "l1_hits": sim.l1_hits,
-        "l1_misses": sim.l1_misses,
+        **sim_record(run.sim),
         "l2_hits": l2.hits,
         "l2_misses": l2.misses,
-        "load_values": _digest(sorted(
-            [inv, op, value] for (inv, op), value in sim.load_values.items()
-        )),
-        "memory_image": _digest([list(pair) for pair in sim.memory_image]),
         "golden_match": run.correct,
         "n_mdes": run.n_mdes,
     }
