@@ -24,6 +24,10 @@ from typing import Dict
 
 
 class EnergyEvent(enum.Enum):
+    # Hash by identity, not by name: members are singletons and the
+    # ledger indexes its counts by event on every charge.
+    __hash__ = object.__hash__
+
     ALU_INT = "alu_int"
     ALU_FP = "alu_fp"
     NET_LINK = "net_link"          # one operand traversing one mesh link

@@ -55,7 +55,7 @@ from repro.sim.backends.serial import SerialMemBackend
 from repro.sim.backends.spec_lsq import SpecLSQBackend
 from repro.sim.config import EngineConfig
 from repro.sim.factory import make_engine
-from repro.sim.oracle import golden_execute
+from repro.sim.oracle import GoldenResult, golden_execute
 from repro.sim.result import SimResult
 from repro.workloads.generator import Workload
 
@@ -136,13 +136,16 @@ _oracle_memo: Dict[Tuple[str, str], Tuple[DFGraph, int]] = {}
 _bare_memo: Dict[str, DFGraph] = {}
 _placement_memo: Dict[Tuple[str, str], Placement] = {}
 _sim_memo: Dict[str, Tuple[SimResult, bool, int]] = {}
-# Address streams and the golden model are MDE- and backend-independent:
-# every system simulating one (graph, envs) pair consumes identical
-# streams and checks against the identical golden result, so both are
-# memoized by graph identity (graphs themselves are memoized above,
-# held strongly here so an id() can't be recycled under a live entry).
-_addr_memo: Dict[Tuple[int, str], Tuple[DFGraph, list]] = {}
-_golden_memo: Dict[Tuple[int, str], Tuple[DFGraph, "GoldenResult"]] = {}
+# Address streams and the golden model depend only on the region's ops
+# and the invocation trace.  Compilation rewrites MDEs and nothing else
+# (``DFGraph.clone`` shares the Operation objects), so the bare,
+# compiled and oracle graphs of one workload carry the same ops and
+# every system over one (workload, envs) pair consumes identical
+# streams and checks against the identical golden result.  Both are
+# therefore keyed on (workload fingerprint, envs fingerprint) and
+# computed once per region; the values pin no graph alive.
+_addr_memo: Dict[Tuple[str, str], List[Dict[int, Tuple[int, int]]]] = {}
+_golden_memo: Dict[Tuple[str, str], GoldenResult] = {}
 
 
 def clear_memos() -> None:
@@ -373,20 +376,18 @@ def _simulate(
     backend = _backend_for(system, lsq_config)
     engine = make_engine(graph, placement, hierarchy, backend, config=engine_config)
 
-    # Evaluate every memory op's address once per invocation *per
-    # graph*: the warm loop and the engine consume the same stream, and
-    # every system over this (graph, envs) pair reuses it.
+    # Evaluate every memory op's address once per invocation per
+    # region: the warm loop and the engine consume the same stream, and
+    # every system over this (workload, envs) pair reuses it.
     mem_ops = graph.memory_ops
-    stream_key = (id(graph), envs_fp)
-    hit = _addr_memo.get(stream_key)
-    if hit is None or hit[0] is not graph:
+    memo_key = (wfp, envs_fp)
+    addr_streams = _addr_memo.get(memo_key)
+    if addr_streams is None:
         addr_streams = [
             {op.op_id: (op.addr.evaluate(env), op.addr.width) for op in mem_ops}
             for env in envs
         ]
-        _addr_memo[stream_key] = (graph, addr_streams)
-    else:
-        addr_streams = hit[1]
+        _addr_memo[memo_key] = addr_streams
     if warm:
         for amap in addr_streams:
             for op in mem_ops:
@@ -394,12 +395,10 @@ def _simulate(
         hierarchy.l2.stats.reset()
     sim = engine.run(envs, region_name=workload.name, addr_streams=addr_streams)
 
-    hit = _golden_memo.get(stream_key)
-    if hit is None or hit[0] is not graph:
-        golden = golden_execute(graph, envs)
-        _golden_memo[stream_key] = (graph, golden)
-    else:
-        golden = hit[1]
+    golden = _golden_memo.get(memo_key)
+    if golden is None:
+        golden = golden_execute(workload.graph, envs)
+        _golden_memo[memo_key] = golden
     correct = golden.matches(sim.load_values, sim.memory_image)
     return (sim, correct, n_mdes)
 

@@ -19,6 +19,10 @@ import enum
 class Opcode(enum.Enum):
     """Operation kinds supported in an acceleration region."""
 
+    # Hash by identity, not by name: members are singletons and the
+    # simulator looks opcodes up in sets and dicts on every event.
+    __hash__ = object.__hash__
+
     # Region plumbing.
     INPUT = "input"      # live-in value (from the host CPU / scratchpad)
     CONST = "const"      # compile-time constant

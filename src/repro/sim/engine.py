@@ -108,19 +108,23 @@ class DataflowEngine:
 
         self._ops = graph.ops
         # Per-producer delivery plan, precomputed once per engine:
-        # src op_id -> [(user, n_addr, n_value, multiplicity, hops, route)].
-        # n_addr/n_value count how many of the user's operand positions
-        # this producer feeds (a store's value slot counted separately);
-        # multiplicity is the raw position count (network traffic).
-        self._targets: Dict[int, List[Tuple[Operation, int, int, int, int, int]]] = {
-            op.op_id: [] for op in self._ops
-        }
+        # src op_id -> [(user, n_addr, n_value, multiplicity, hops, route,
+        # is_memory, is_store)].  n_addr/n_value count how many of the
+        # user's operand positions this producer feeds (a store's value
+        # slot counted separately); multiplicity is the raw position
+        # count (network traffic).  The user's memory/store flags ride
+        # along so _deliver never asks the Operation per event.
+        self._targets: Dict[
+            int, List[Tuple[Operation, int, int, int, int, int, bool, bool]]
+        ] = {op.op_id: [] for op in self._ops}
         for user in self._ops:
             last = len(user.inputs) - 1
+            is_memory = user.is_memory
+            is_store = user.is_store
             counts: Dict[int, List[int]] = {}
             for pos, src in enumerate(user.inputs):
                 c = counts.setdefault(src, [0, 0, 0])
-                if user.is_store and pos == last:
+                if is_store and pos == last:
                     c[1] += 1
                 else:
                     c[0] += 1
@@ -135,6 +139,8 @@ class DataflowEngine:
                         mult,
                         placement.hops(src, uid),
                         placement.route_latency(src, uid),
+                        is_memory,
+                        is_store,
                     )
                 )
         # The common-case (no link contention) delivery plan folds the
@@ -143,10 +149,21 @@ class DataflowEngine:
         # so the hot loop is one charge + one delivery per target.
         charge_net = self.config.charge_network
         self._contention = self.config.model_link_contention
-        self._plans: Dict[int, List[Tuple[Operation, int, int, int, int]]] = {
+        self._plans: Dict[
+            int, List[Tuple[Operation, int, int, int, int, bool, bool]]
+        ] = {
             src: [
-                (user, n_addr, n_value, hops * mult if charge_net else 0, route)
-                for user, n_addr, n_value, mult, hops, route in targets
+                (
+                    user,
+                    n_addr,
+                    n_value,
+                    hops * mult if charge_net else 0,
+                    route,
+                    is_memory,
+                    is_store,
+                )
+                for user, n_addr, n_value, mult, hops, route, is_memory, is_store
+                in targets
             ]
             for src, targets in self._targets.items()
         }
@@ -183,6 +200,7 @@ class DataflowEngine:
             self._op_init.append((op, pa, pv, kick))
             if op.is_memory:
                 self._mem_ops.append(op)
+        self._mem_ids = frozenset(op.op_id for op in self._mem_ops)
         self._addr_streams: Optional[List[Dict[int, Tuple[int, int]]]] = None
         # Per-directed-link next-free cycle (only with link contention).
         self._link_free: Dict[Tuple, int] = {}
@@ -330,12 +348,14 @@ class DataflowEngine:
         state.completed = True
         state.complete_time = t
         self._inv_end = max(self._inv_end, t)
-        if op.is_memory:
+        if op.op_id in self._mem_ids:
             self.backend.on_memory_complete(op, t)
 
         if self._contention:
             charge_network = self.config.charge_network
-            for user, n_addr, n_value, mult, hops, route in self._targets[op.op_id]:
+            for (
+                user, n_addr, n_value, mult, hops, route, is_memory, is_store
+            ) in self._targets[op.op_id]:
                 if charge_network and hops:
                     self.energy.charge(EnergyEvent.NET_LINK, hops * mult)
                 if hops:
@@ -347,15 +367,17 @@ class DataflowEngine:
                         self._route_with_contention(op.op_id, user.op_id, t)
                 else:
                     arrive = t + route
-                self._deliver(user, n_addr, n_value, arrive)
+                self._deliver(user, n_addr, n_value, arrive, is_memory, is_store)
             return
 
         charge = self.energy.charge
         deliver = self._deliver
-        for user, n_addr, n_value, net, route in self._plans[op.op_id]:
+        for user, n_addr, n_value, net, route, is_memory, is_store in self._plans[
+            op.op_id
+        ]:
             if net:
                 charge(EnergyEvent.NET_LINK, net)
-            deliver(user, n_addr, n_value, t + route)
+            deliver(user, n_addr, n_value, t + route, is_memory, is_store)
 
     def _route_with_contention(self, src: int, dst: int, t: int) -> int:
         """Walk the XY route reserving one cycle per directed link."""
@@ -367,12 +389,21 @@ class DataflowEngine:
             when = start + hop_latency
         return when
 
-    def _deliver(self, user: Operation, n_addr: int, n_value: int, t: int) -> None:
+    def _deliver(
+        self,
+        user: Operation,
+        n_addr: int,
+        n_value: int,
+        t: int,
+        is_memory: bool,
+        is_store: bool,
+    ) -> None:
         """Credit *user* with operand arrivals from one producer.
 
         ``n_addr`` / ``n_value`` are the position counts precomputed in
         ``_targets`` — a producer may feed several operand positions
-        (e.g. both the address and the value of a store).
+        (e.g. both the address and the value of a store).  ``is_memory``
+        / ``is_store`` are *user*'s flags, also from ``_targets``.
         """
         state = self._run[user.op_id]
         if n_value:
@@ -386,12 +417,12 @@ class DataflowEngine:
         if t > state.inputs_time:
             state.inputs_time = t
 
-        if user.is_memory:
+        if is_memory:
             if state.pending_addr == 0 and not state.addr_notified:
                 state.addr_notified = True
                 self.backend.on_addr_ready(user, state.addr_time)
             if (
-                user.is_store
+                is_store
                 and state.pending_value == 0
                 and not state.value_notified
             ):

@@ -11,8 +11,9 @@ switches take other paths through the same code:
 
 ``tests/test_noc_contention.py`` checks these paths only for "never
 faster" and "still correct".  This test pins their exact outputs on
-real compiled regions (a MAY-heavy, a forwarding and two mixed path-0
-regions) for the LSQ, speculative-LSQ and NACHOS backends against
+four compiled path-0 regions (bzip2: MAY-heavy; histogram and povray:
+comparator conflicts and LSQ forwards; art: LSQ forwards) for the LSQ,
+speculative-LSQ and NACHOS backends against
 ``tests/golden/engine_config_pins.json``: cycles, energy counts by
 event, every backend counter, L1 stats and digests of the load values
 and the final memory image.  Regenerate intentionally with
