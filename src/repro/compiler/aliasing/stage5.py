@@ -176,44 +176,84 @@ def value_set(expr: AffineExpr) -> ValueSet:
 def _enumerate_joint(
     diff: AffineExpr, wlo: int, whi: int, limit: int
 ) -> Optional[Tuple[bool, bool]]:
-    """Exact ``(can_overlap, always_overlaps)`` by sweeping the joint domain.
+    """Exact ``(can_overlap, always_overlaps)`` over the joint domain.
 
     The domain is the product of every IV's trip range and every bounded
     symbol's declared range.  Returns ``None`` when any symbol is
     unbounded or the joint domain exceeds *limit*.
+
+    The answer is decided without visiting every point.  An affine
+    difference over a box of integer ranges reaches its extremes at the
+    box's corners, so the per-dimension minima and maxima give its exact
+    range: ``always`` holds iff that range lies inside the window, and a
+    range that misses the window cannot overlap.  Otherwise
+    :func:`_hits_window` searches for one point inside the window.
     """
     dims = []
     size = 1
     for iv, coeff in diff.iv_terms:
-        dims.append((coeff, iv.domain))
+        dims.append((coeff, 0, iv.trip_count - 1))
         size *= iv.trip_count
         if size > limit:
             return None
     for sym, coeff in diff.sym_terms:
         if not sym.bounded:
             return None
-        dims.append((coeff, sym.domain))
-        size *= len(sym.domain)
+        dims.append((coeff, sym.lo, sym.hi))
+        size *= sym.hi - sym.lo + 1
         if size > limit:
             return None
 
-    can = False
-    always = True
+    lo = hi = diff.const
+    for coeff, vlo, vhi in dims:
+        lo += min(coeff * vlo, coeff * vhi)
+        hi += max(coeff * vlo, coeff * vhi)
+    if wlo <= lo and hi <= whi:
+        return True, True
+    if hi < wlo or lo > whi:
+        return False, False
+    return _hits_window(dims, diff.const, wlo, whi), False
 
-    def rec(k: int, acc: int) -> None:
-        nonlocal can, always
-        if k == len(dims):
-            if wlo <= acc <= whi:
-                can = True
-            else:
-                always = False
-            return
-        coeff, domain = dims[k]
-        for v in domain:
-            rec(k + 1, acc + coeff * v)
 
-    rec(0, diff.const)
-    return can, always
+def _hits_window(dims, const: int, wlo: int, whi: int) -> bool:
+    """Does ``const + sum(coeff * v)`` over the box *dims* hit ``[wlo, whi]``?
+
+    Branch and bound: dimensions go largest ``|coeff|`` first; each level
+    visits only the values that keep the window reachable by the exact
+    range of the dimensions after it, and the last dimension is solved in
+    closed form with integer floor division.
+    """
+    dims = sorted(dims, key=lambda d: -abs(d[0]))
+    # rest_lo[k] / rest_hi[k]: exact range of the sum over dims[k:].
+    rest_lo = [0] * (len(dims) + 1)
+    rest_hi = [0] * (len(dims) + 1)
+    for k in range(len(dims) - 1, -1, -1):
+        coeff, vlo, vhi = dims[k]
+        rest_lo[k] = rest_lo[k + 1] + min(coeff * vlo, coeff * vhi)
+        rest_hi[k] = rest_hi[k + 1] + max(coeff * vlo, coeff * vhi)
+
+    def values(k: int, acc: int) -> range:
+        # The v in dims[k]'s range with acc + coeff*v + rest(k+1) able to
+        # reach the window: coeff*v in [wlo - acc - rest_hi, whi - acc - rest_lo].
+        coeff, vlo, vhi = dims[k]
+        tlo = wlo - acc - rest_hi[k + 1]
+        thi = whi - acc - rest_lo[k + 1]
+        if coeff < 0:  # dividing by a negative coeff swaps the bounds
+            tlo, thi = thi, tlo
+        # ceil(tlo / coeff) .. floor(thi / coeff), exact for either sign.
+        return range(max(vlo, -(-tlo // coeff)), min(vhi, thi // coeff) + 1)
+
+    last_dim = len(dims) - 1
+
+    def search(k: int, acc: int) -> bool:
+        if k == last_dim:
+            return len(values(k, acc)) > 0
+        coeff = dims[k][0]
+        return any(search(k + 1, acc + coeff * v) for v in values(k, acc))
+
+    if not dims:
+        return wlo <= const <= whi
+    return search(0, const)
 
 
 # ----------------------------------------------------------------------

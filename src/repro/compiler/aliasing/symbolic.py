@@ -79,8 +79,10 @@ def _gcd_hits_window(diff: AffineExpr, wlo: int, whi: int) -> bool:
     # Window clipped to the reachable interval.
     wlo = max(wlo, lo)
     whi = min(whi, hi)
-    # Does any value == const (mod g) fall in [wlo, whi]?
-    first = diff.const + math.ceil((wlo - diff.const) / g) * g
+    # Does any value == const (mod g) fall in [wlo, whi]?  The first
+    # lattice point >= wlo, with ceil((wlo - const) / g) in exact integer
+    # arithmetic (a float quotient rounds wrongly beyond 2**53).
+    first = diff.const - ((diff.const - wlo) // g) * g
     return first <= whi
 
 

@@ -98,11 +98,13 @@ def required_pairs(
     """
     out: List[Tuple[int, int, PairKind, OracleVerdict]] = []
     mem = graph.memory_ops
+    stores = [op.is_store for op in mem]
     for i, older in enumerate(mem):
-        for younger in mem[i + 1 :]:
+        for j in range(i + 1, len(mem)):
+            if not (stores[i] or stores[j]):
+                continue  # LD-LD
+            younger = mem[j]
             kind = pair_kind(older, younger)
-            if kind is None:
-                continue
             verdict = oracle_verdict(
                 graph,
                 older.op_id,

@@ -64,10 +64,12 @@ class AliasMatrix:
         """All ST-ST / ST-LD / LD-ST pairs of *graph*, labeled *default*."""
         matrix = cls()
         mem = graph.memory_ops
+        stores = [op.is_store for op in mem]
         for i, older in enumerate(mem):
-            for younger in mem[i + 1 :]:
-                if pair_kind(older, younger) is not None:
-                    matrix.labels[(older.op_id, younger.op_id)] = default
+            older_store = stores[i]
+            for j in range(i + 1, len(mem)):
+                if older_store or stores[j]:  # every pair but LD-LD
+                    matrix.labels[(older.op_id, mem[j].op_id)] = default
         return matrix
 
     # ------------------------------------------------------------------

@@ -36,28 +36,33 @@ def oracle_matrix(
     schedule could safely forward.
     """
     matrix = AliasMatrix.universe(graph, default=AliasLabel.NO)
-    ops = {op.op_id: op for op in graph.memory_ops}
-    pairs = matrix.pairs()
-    always_exact = set(pairs)
-    ever_overlap: Set[Tuple[int, int]] = set()
+    envs = list(envs)
+    # Per op: its address in every invocation, its width, and the hull
+    # [min, max + width) its footprints span across the trace.
+    concrete = {}
+    for op in graph.memory_ops:
+        addrs = tuple(op.addr.evaluate(env) for env in envs)
+        width = op.addr.width
+        hull = (min(addrs), max(addrs) + width) if addrs else (0, 0)
+        concrete[op.op_id] = (addrs, width, hull)
+    always_exact: Set[Tuple[int, int]] = set()
 
-    for env in envs:
-        concrete = {
-            oid: (op.addr.evaluate(env), op.addr.width) for oid, op in ops.items()
-        }
-        for older, younger in pairs:
-            a, wa = concrete[older]
-            b, wb = concrete[younger]
+    for pair in matrix.labels:
+        va, wa, (lo_a, hi_a) = concrete[pair[0]]
+        vb, wb, (lo_b, hi_b) = concrete[pair[1]]
+        if lo_a >= hi_b or lo_b >= hi_a:
+            continue  # disjoint hulls (or an empty trace): never overlap
+        if va == vb and wa == wb:
+            # Same address and width in every invocation: always an
+            # exact, overlapping match.
+            matrix.labels[pair] = AliasLabel.MUST
+            always_exact.add(pair)
+            continue
+        for a, b in zip(va, vb):
             if a < b + wb and b < a + wa:
-                ever_overlap.add((older, younger))
-            if not (a == b and wa == wb):
-                always_exact.discard((older, younger))
-
-    for pair in pairs:
-        matrix.labels[pair] = (
-            AliasLabel.MUST if pair in ever_overlap else AliasLabel.NO
-        )
-    return matrix, always_exact & ever_overlap
+                matrix.labels[pair] = AliasLabel.MUST
+                break
+    return matrix, always_exact
 
 
 def compile_with_oracle(

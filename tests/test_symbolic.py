@@ -79,6 +79,16 @@ class TestSingleIV:
         b = addr(AffineExpr.of(ivs={}), width=1)
         assert rel(a, b, limit=4).label is AliasLabel.NO
 
+    def test_gcd_test_is_exact_beyond_float_precision(self):
+        # diff = 1552553102207215608 - 24i is 0 at i = 64689712591967317,
+        # so the accesses coincide there.  A float ceil in the lattice
+        # test lands on the wrong lattice point and proves NO.
+        i = IVar("i", 2**61)
+        a = addr(AffineExpr.constant(0))
+        b = addr(AffineExpr.of(const=1552553102207215608, ivs={i: -24}))
+        assert 1552553102207215608 - 24 * 64689712591967317 == 0
+        assert rel(a, b).label is AliasLabel.MAY
+
 
 class TestMultiIV:
     def test_single_iv_mode_punts(self):
